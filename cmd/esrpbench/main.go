@@ -18,7 +18,6 @@
 //	-scale S    grid refinement factor (default 1; 2 ≈ 8× the rows)
 //	-phis CSV   redundancy counts (default 1,3,8)
 //	-ts CSV     checkpoint intervals (default 1,20,50,100)
-//	-reps R     repetitions per setting (default 1; runs are deterministic)
 //
 // Every constellation run also writes a machine-readable BENCH_<name>.json
 // (simulated time, iterations, halo bytes, max per-node bytes for the
@@ -51,19 +50,9 @@ func main() {
 		scale   = flag.Int("scale", 1, "grid refinement factor for the test matrices")
 		phis    = flag.String("phis", "1,3,8", "comma-separated redundancy counts φ")
 		ts      = flag.String("ts", "1,20,50,100", "comma-separated checkpoint intervals T")
-		reps    = flag.Int("reps", 1, "repetitions per setting (median reported)")
 		rtol    = flag.Float64("rtol", 1e-8, "outer relative tolerance")
 		kernel  = flag.String("kernel", "auto", "SpMV kernel layout: auto|csr|sellc|band (simulated figures are bit-identical under every choice)")
 		jsonDir = flag.String("json-dir", ".", "directory for the BENCH_<name>.json exports (\"\" = disabled)")
-
-		hostbench    = flag.Bool("hostbench", false, "measure host-side performance (ns/op, allocs/op, campaign cells/sec; kernel=csr baseline vs kernel=auto) and write "+hostBenchFile+" to -json-dir")
-		scaling      = flag.Bool("scaling", false, "with the hostbench suite, sweep GOMAXPROCS ∈ {1,2,4,NumCPU} over the solve and campaign-smoke benchmarks and record per-procs rows plus parallel efficiency in "+hostBenchFile+" (implies -hostbench)")
-		hostBaseline = flag.String("host-baseline", "", "previous BENCH_PR*.json to chain from (\"\" = newest BENCH_PR*.json in the current directory)")
-		hostNote     = flag.String("host-note", "", "free-form note recorded in the "+hostBenchFile+" export")
-
-		check          = flag.String("check", "", "perf-regression sentinel: re-run the benchmarks of this committed BENCH_PR*.json and exit non-zero (with a per-row delta table) when ns/op or allocs/op regress beyond the tolerances")
-		checkTolNs     = flag.Float64("check-tol-ns", 0.35, "fractional ns/op regression tolerated by -check (0.35 = +35%)")
-		checkTolAllocs = flag.Float64("check-tol-allocs", 0.15, "fractional allocs/op regression tolerated by -check")
 
 		cpuprofile    = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile    = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -81,30 +70,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "esrpbench: %v\n", err)
 		}
 	}()
-
-	if *check != "" {
-		failed, err := runCheck(*check, *checkTolNs, *checkTolAllocs)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if failed > 0 {
-			fatalf("check: %d row(s) regressed beyond tolerance", failed)
-		}
-		fmt.Fprintln(os.Stderr, "esrpbench: check passed")
-		return
-	}
-
-	if *hostbench || *scaling {
-		if *jsonDir == "" {
-			fatalf("-hostbench writes %s and needs a -json-dir (got the disabled value \"\")", hostBenchFile)
-		}
-		path, err := writeHostBench(*jsonDir, *hostBaseline, *hostNote, *scaling)
-		if err != nil {
-			fatalf("hostbench: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "esrpbench: wrote %s\n", path)
-		return
-	}
 
 	if !*all && *table == 0 && *fig == 0 {
 		flag.Usage()
@@ -125,7 +90,7 @@ func main() {
 		fatalf("bad -kernel: %v", err)
 	}
 
-	g := generator{nodes: *nodes, scale: *scale, phis: phiList, ts: tList, reps: *reps, rtol: *rtol, kernel: kk, jsonDir: *jsonDir}
+	g := generator{nodes: *nodes, scale: *scale, phis: phiList, ts: tList, rtol: *rtol, kernel: kk, jsonDir: *jsonDir}
 
 	want := func(t, f int) bool {
 		if *all {
@@ -188,11 +153,11 @@ func main() {
 
 // generator holds the scale parameters and builds the experiment specs.
 type generator struct {
-	nodes, scale, reps int
-	phis, ts           []int
-	rtol               float64
-	kernel             esrp.KernelKind
-	jsonDir            string
+	nodes, scale int
+	phis, ts     []int
+	rtol         float64
+	kernel       esrp.KernelKind
+	jsonDir      string
 }
 
 // emilia returns the Emilia_923 analog at the configured scale: a banded
@@ -224,7 +189,6 @@ func (g generator) run(name string, a *esrp.CSR) *esrp.ExperimentReport {
 		Nodes:  g.nodes,
 		Ts:     g.ts,
 		Phis:   g.phis,
-		Reps:   g.reps,
 		Rtol:   g.rtol,
 		Kernel: g.kernel,
 	})

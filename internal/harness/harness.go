@@ -10,8 +10,8 @@
 // (Eq. 2) — and renders them in the layout of Tables 1–4 and Figures 2–3.
 //
 // Runtimes are simulated (LogGP model, see internal/cluster), so a single
-// repetition is deterministic; the Reps knob exists for API fidelity with
-// the paper's ≥5 repetitions and for exercising the median path.
+// run per setting is deterministic and stands in for the paper's median of
+// ≥5 repetitions.
 package harness
 
 import (
@@ -80,8 +80,6 @@ type Spec struct {
 
 	Locations []Location // failure locations (default Start, Center)
 
-	Reps int // repetitions per setting; median is reported (default 1)
-
 	MaxIter   int                // per-run iteration cap (0 = solver default)
 	CostModel *cluster.CostModel // nil = cluster default
 	Precond   precond.Kind       // zero value = block Jacobi
@@ -145,9 +143,6 @@ func (s Spec) withDefaults() (Spec, error) {
 	}
 	if len(s.Locations) == 0 {
 		s.Locations = []Location{LocStart, LocCenter}
-	}
-	if s.Reps <= 0 {
-		s.Reps = 1
 	}
 	if s.Precond == precond.Default {
 		s.Precond = precond.BlockJacobi
@@ -271,7 +266,7 @@ func Run(spec Spec) (*Report, error) {
 		return nil, fmt.Errorf("harness: partition diagnostics: %w", err)
 	}
 
-	ref, err := runMedian(spec, core.Config{Strategy: core.StrategyNone}, spec.Reps)
+	ref, err := core.Solve(spec.config(core.Config{Strategy: core.StrategyNone}))
 	if err != nil {
 		return nil, fmt.Errorf("harness: reference run: %w", err)
 	}
@@ -361,7 +356,7 @@ func esrpConfig(t int) core.Strategy {
 // one failure run per location with ψ = φ simultaneous failures.
 func runCell(spec Spec, strat core.Strategy, t, phi int, rep *Report) (*Cell, error) {
 	base := core.Config{Strategy: strat, T: t, Phi: phi}
-	ff, err := runMedian(spec, base, spec.Reps)
+	ff, err := core.Solve(spec.config(base))
 	if err != nil {
 		return nil, fmt.Errorf("harness: %v T=%d φ=%d failure-free: %w", strat, t, phi, err)
 	}
@@ -382,7 +377,7 @@ func runCell(spec Spec, strat core.Strategy, t, phi int, rep *Report) (*Cell, er
 			Iteration: fiter,
 			Ranks:     loc.Ranks(phi, spec.Nodes),
 		}
-		fr, err := runMedian(spec, cfg, spec.Reps)
+		fr, err := core.Solve(spec.config(cfg))
 		if err != nil {
 			return nil, fmt.Errorf("harness: %v T=%d φ=ψ=%d %v: %w", strat, t, phi, loc, err)
 		}
@@ -431,23 +426,6 @@ func (s Spec) config(cfg core.Config) core.Config {
 	cfg.Kernel = s.Kernel
 	cfg.Observe = s.Observe
 	return cfg
-}
-
-// runMedian completes the config from the spec, runs it Reps times, and
-// returns the run whose simulated time is the median.
-func runMedian(spec Spec, cfg core.Config, reps int) (*core.Result, error) {
-	cfg = spec.config(cfg)
-
-	results := make([]*core.Result, 0, reps)
-	for i := 0; i < reps; i++ {
-		r, err := core.Solve(cfg)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, r)
-	}
-	sort.Slice(results, func(i, j int) bool { return results[i].SimTime < results[j].SimTime })
-	return results[len(results)/2], nil
 }
 
 // DriftStats condenses the drift of all failure runs of a report into the

@@ -183,17 +183,52 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
-func TestMedianOverReps(t *testing.T) {
-	spec := smallSpec()
-	spec.Ts = []int{10}
-	spec.Phis = []int{1}
-	spec.Reps = 3 // deterministic, but exercises the median path
-	rep, err := Run(spec)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(rep.ESRP) != 1 || len(rep.IMCR) != 1 {
-		t.Fatalf("unexpected cell counts: %d ESRP, %d IMCR", len(rep.ESRP), len(rep.IMCR))
+// TestPaperFailureFreeOrdering pins the paper's failure-free conclusions on
+// the simulated clock: ESRP's overhead falls as the checkpoint interval T
+// grows, ESRP at T = 20 is already below plain ESR (T = 1) at φ = 3,
+// and ESRP never costs more than IMCR at the same (T, φ).
+func TestPaperFailureFreeOrdering(t *testing.T) {
+	for _, m := range []struct {
+		name string
+		spec Spec
+	}{
+		{"Emilia-like", Spec{Matrix: matgen.EmiliaLike(12, 12, 12, 923)}},
+		{"audikw-like", Spec{Matrix: matgen.AudikwLike(8, 8, 8, 3, 944)}},
+	} {
+		t.Run(m.name, func(t *testing.T) {
+			spec := m.spec
+			spec.Name = m.name
+			spec.Nodes = 8
+			spec.Ts = []int{1, 20, 50, 100}
+			spec.Phis = []int{1, 3}
+			rep, err := Run(spec)
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			esrp := make(map[[2]int]float64)
+			for _, c := range rep.ESRP {
+				esrp[[2]int{c.T, c.Phi}] = c.FFOverhead
+			}
+			for _, phi := range spec.Phis {
+				for i := 1; i < len(spec.Ts); i++ {
+					prev, cur := spec.Ts[i-1], spec.Ts[i]
+					if a, b := esrp[[2]int{prev, phi}], esrp[[2]int{cur, phi}]; b > a {
+						t.Errorf("φ=%d: ESRP overhead rises from %.4g at T=%d to %.4g at T=%d", phi, a, prev, b, cur)
+					}
+				}
+			}
+			if esr, t20 := esrp[[2]int{1, 3}], esrp[[2]int{20, 3}]; esr <= t20 {
+				t.Errorf("φ=3: ESR overhead %.4g is not above ESRP T=20 overhead %.4g", esr, t20)
+			}
+			if len(rep.IMCR) != 3*len(spec.Phis) {
+				t.Fatalf("len(IMCR) = %d, want %d", len(rep.IMCR), 3*len(spec.Phis))
+			}
+			for _, c := range rep.IMCR {
+				if e := esrp[[2]int{c.T, c.Phi}]; e > c.FFOverhead {
+					t.Errorf("T=%d φ=%d: ESRP overhead %.4g exceeds IMCR overhead %.4g", c.T, c.Phi, e, c.FFOverhead)
+				}
+			}
+		})
 	}
 }
 

@@ -7,7 +7,8 @@ import (
 )
 
 // BenchmarkBlockJacobiApply measures the batched backsolve sweep on one
-// node's share of the Emilia-analog hostbench case (256 rows, blocks ≤ 10).
+// node's share of a 16³ Emilia analog split over 16 nodes (256 rows,
+// blocks ≤ 10).
 func BenchmarkBlockJacobiApply(b *testing.B) {
 	a := matgen.EmiliaLike(16, 16, 16, 923)
 	p, err := NewBlockJacobi(a, 1024, 1280, 10)

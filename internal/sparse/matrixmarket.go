@@ -60,6 +60,12 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 		}
 		break
 	}
+	if rows < 0 || cols < 0 || nnz < 0 {
+		return nil, fmt.Errorf("sparse: negative MatrixMarket size %d %d %d", rows, cols, nnz)
+	}
+	if symmetry != "general" && rows != cols {
+		return nil, fmt.Errorf("sparse: %s storage needs a square matrix, got %dx%d", symmetry, rows, cols)
+	}
 
 	b := NewBuilder(rows, cols)
 	read := 0
@@ -92,6 +98,9 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 			if err != nil {
 				return nil, fmt.Errorf("sparse: bad value %q: %v", f[2], err)
 			}
+		}
+		if i < 1 || i > rows || j < 1 || j > cols {
+			return nil, fmt.Errorf("sparse: entry (%d,%d) outside the 1-based %dx%d matrix", i, j, rows, cols)
 		}
 		i, j = i-1, j-1 // 1-based on disk
 		b.Add(i, j, v)

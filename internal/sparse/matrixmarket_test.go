@@ -67,7 +67,12 @@ func TestReadMatrixMarketRejectsGarbage(t *testing.T) {
 		"not a header\n1 1 0\n",
 		"%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n4\n",
 		"%%MatrixMarket matrix coordinate complex general\n1 1 1\n1 1 1 0\n",
-		"%%MatrixMarket matrix coordinate real general\n2 2 1\n", // missing entry
+		"%%MatrixMarket matrix coordinate real general\n2 2 1\n",            // missing entry
+		"%%MatrixMarket matrix coordinate real general\n2 2 1\n0 1 1.0\n",   // 0-based entry
+		"%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n",   // row beyond rows
+		"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 3 1.0\n",   // column beyond cols
+		"%%MatrixMarket matrix coordinate real symmetric\n3 2 1\n3 1 1.0\n", // non-square symmetric
+		"%%MatrixMarket matrix coordinate real general\n-2 2 0\n",           // negative size
 	} {
 		if _, err := ReadMatrixMarket(strings.NewReader(in)); err == nil {
 			t.Fatalf("input %q must be rejected", in)
