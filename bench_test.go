@@ -490,10 +490,8 @@ func BenchmarkAblationResidualReplacement(b *testing.B) {
 // wall-clock ns/op and allocs/op of one fixed-length solve — the figure the
 // zero-allocation hot path and the structure-aware kernels optimize. Fixed
 // MaxIter + unreachable Rtol makes the run length independent of
-// convergence, so the metric is a pure data-path cost. The default cases run
-// the kernel planner (auto); the kernel=* cases force each layout on the
-// reference strategy for the attribution. The CI host-perf job runs them
-// one-shot; perfbench/ measures host time with repeated samples.
+// convergence, so the metric is a pure data-path cost. The CI host-perf job
+// runs them one-shot; perfbench/ measures host time with repeated samples.
 func BenchmarkHostSolve(b *testing.B) {
 	a := benchEmilia()
 	rhs := esrp.RHSOnes(a.Rows)
@@ -514,10 +512,6 @@ func BenchmarkHostSolve(b *testing.B) {
 		Strategy: esrp.StrategyESRP, T: 20, Phi: 1})
 	run("imcr-T20", esrp.Config{A: a, B: rhs, Nodes: benchNodes, MaxIter: 60, Rtol: 1e-30,
 		Strategy: esrp.StrategyIMCR, T: 20, Phi: 1})
-	for _, kind := range []esrp.KernelKind{esrp.KernelCSR, esrp.KernelSellC, esrp.KernelBand} {
-		run("kernel="+kind.String(), esrp.Config{A: a, B: rhs, Nodes: benchNodes,
-			MaxIter: 60, Rtol: 1e-30, Kernel: kind})
-	}
 }
 
 // BenchmarkCampaignSweep measures the experiment-sweep engine's host

@@ -51,7 +51,6 @@ func main() {
 		phis    = flag.String("phis", "1,3,8", "comma-separated redundancy counts φ")
 		ts      = flag.String("ts", "1,20,50,100", "comma-separated checkpoint intervals T")
 		rtol    = flag.Float64("rtol", 1e-8, "outer relative tolerance")
-		kernel  = flag.String("kernel", "auto", "SpMV kernel layout: auto|csr|sellc|band (simulated figures are bit-identical under every choice)")
 		jsonDir = flag.String("json-dir", ".", "directory for the BENCH_<name>.json exports (\"\" = disabled)")
 
 		cpuprofile    = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -85,12 +84,7 @@ func main() {
 		fatalf("bad -ts: %v", err)
 	}
 
-	kk, err := esrp.ParseKernel(*kernel)
-	if err != nil {
-		fatalf("bad -kernel: %v", err)
-	}
-
-	g := generator{nodes: *nodes, scale: *scale, phis: phiList, ts: tList, rtol: *rtol, kernel: kk, jsonDir: *jsonDir}
+	g := generator{nodes: *nodes, scale: *scale, phis: phiList, ts: tList, rtol: *rtol, jsonDir: *jsonDir}
 
 	want := func(t, f int) bool {
 		if *all {
@@ -156,7 +150,6 @@ type generator struct {
 	nodes, scale int
 	phis, ts     []int
 	rtol         float64
-	kernel       esrp.KernelKind
 	jsonDir      string
 }
 
@@ -190,7 +183,6 @@ func (g generator) run(name string, a *esrp.CSR) *esrp.ExperimentReport {
 		Ts:     g.ts,
 		Phis:   g.phis,
 		Rtol:   g.rtol,
-		Kernel: g.kernel,
 	})
 	hostNs := time.Since(start).Nanoseconds()
 	runtime.ReadMemStats(&m1)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -57,8 +58,8 @@ func parseMachineSweep(spec string, base esrp.CostModel) ([]esrp.CampaignMachine
 			if err != nil {
 				return nil, fmt.Errorf("bad value %q for %s: %w", v, key, err)
 			}
-			if f <= 0 {
-				return nil, fmt.Errorf("value %q for %s: machine parameters must be positive", v, key)
+			if !(f > 0) || math.IsInf(f, 1) { // NaN fails f > 0
+				return nil, fmt.Errorf("value %q for %s: machine parameters must be positive and finite", v, key)
 			}
 			vals = append(vals, f)
 		}

@@ -71,6 +71,10 @@ func TestParseMachineSweep(t *testing.T) {
 			"L=0x",         // non-positive (multiplier)
 			"G=-1e-9",      // non-positive (absolute)
 			"L=1x,oops,2x", // bad value mid-list
+			"L=NaN",        // not a number (absolute)
+			"L=inf",        // infinite (absolute)
+			"G=NaNx",       // not a number (multiplier)
+			"o=+Infx",      // infinite (multiplier)
 		} {
 			if _, err := parseMachineSweep(spec, base); err == nil {
 				t.Errorf("spec %q: expected error, got nil", spec)

@@ -91,9 +91,6 @@ type (
 	CSR = sparse.CSR
 	// PrecondKind selects the preconditioner.
 	PrecondKind = precond.Kind
-	// KernelKind selects the local SpMV storage layout (Config.Kernel). All
-	// kinds produce bitwise-identical trajectories; only host speed differs.
-	KernelKind = sparse.KernelKind
 )
 
 // Resilience strategies.
@@ -123,22 +120,6 @@ const (
 	// compatible with the exact state reconstruction.
 	PrecondIC0 = precond.IC0
 )
-
-// SpMV kernel kinds (Config.Kernel).
-const (
-	// KernelAuto lets the Prepare-time planner pick the layout per row
-	// block from its structure statistics (the default).
-	KernelAuto = sparse.KernelAuto
-	// KernelCSR forces the generic scalar CSR traversal.
-	KernelCSR = sparse.KernelCSR
-	// KernelSellC forces the SELL-C sliced-ELL layout.
-	KernelSellC = sparse.KernelSellC
-	// KernelBand forces the constant-band/stencil layout.
-	KernelBand = sparse.KernelBand
-)
-
-// ParseKernel converts a kernel name ("auto", "csr", "sellc", "band").
-func ParseKernel(s string) (KernelKind, error) { return sparse.ParseKernelKind(s) }
 
 // CondenseKernels condenses Result.Kernels (per-node SpMV layout names)
 // into a compact "name×count" display string.

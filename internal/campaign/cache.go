@@ -66,7 +66,6 @@ func (g *Grid) cellInputOf(c *Cell, strat core.Strategy, mdigest [32]byte) ccach
 		MaxIter:  g.MaxIter,
 		MaxBlock: g.MaxBlock,
 		Precond:  pk,
-		Kernel:   g.Kernel,
 	}
 }
 

@@ -241,7 +241,7 @@ func TestCachePartialSweepResumes(t *testing.T) {
 }
 
 // Cells keyed equal across different grids must not collide when any
-// solve-relevant grid knob differs: the key covers rtol, spares, kernels.
+// solve-relevant grid knob differs: the key covers rtol and spares.
 func TestCacheKeyedByGridKnobs(t *testing.T) {
 	dir := t.TempDir()
 	g1 := tinyGrid()

@@ -73,7 +73,6 @@ type Grid struct {
 	MaxIter   int     // iteration cap (0 = solver default)
 	MaxBlock  int     // block Jacobi bound (default 10)
 	Precond   precond.Kind
-	Kernel    sparse.KernelKind // SpMV layout for every cell (zero = planner)
 	CostModel *cluster.CostModel
 
 	// Workers bounds the number of cells solved concurrently on the host
@@ -545,7 +544,6 @@ func (g Grid) prepareContexts(cells []Cell, matrices map[string]MatrixSpec, need
 					Strategy: strat, T: c.T, Phi: c.Phi,
 					Rtol: g.Rtol, MaxIter: g.MaxIter,
 					PrecondKind: g.Precond, MaxBlock: g.MaxBlock,
-					Kernel: g.Kernel,
 				})
 				if err != nil {
 					prep = nil // cells fall back to per-cell setup and surface the error
@@ -625,7 +623,6 @@ func (g Grid) runCell(index int, c *Cell, m MatrixSpec, prep *core.Prepared, ws 
 		Strategy: strat, T: c.T, Phi: c.Phi,
 		Rtol: g.Rtol, MaxIter: g.MaxIter,
 		PrecondKind: g.Precond, MaxBlock: g.MaxBlock,
-		Kernel:    g.Kernel,
 		CostModel: g.CostModel,
 		Failures:  c.Events,
 		Prepared:  prep,

@@ -12,7 +12,6 @@ import (
 	"esrp/internal/obs"
 	"esrp/internal/precond"
 	"esrp/internal/replay"
-	"esrp/internal/sparse"
 )
 
 // goldenInput is a fixed cell input used to pin the canonical encoding.
@@ -37,7 +36,6 @@ func goldenInput() CellInput {
 		MaxIter:  0,
 		MaxBlock: 10,
 		Precond:  precond.BlockJacobi,
-		Kernel:   sparse.KernelAuto,
 	}
 }
 
@@ -47,7 +45,7 @@ func goldenInput() CellInput {
 // re-pin here), but it must never happen by accident — a field rename,
 // reorder, or width change all land here.
 func TestKeyGolden(t *testing.T) {
-	const want = "1d3f56373eb6e84e47cfeeb0ffe6764eaf2248f8669c3d61c6302c9d36239eee"
+	const want = "87da11047284e7f5aad532e756e41280bd7a1ee4065df3296f430bc869a63397"
 	in := goldenInput()
 	if got := in.Key().String(); got != want {
 		t.Fatalf("canonical key changed:\n got %s\nwant %s\n(bump keyVersion if intentional)", got, want)
@@ -74,7 +72,6 @@ func TestKeyFieldSensitivity(t *testing.T) {
 		"MaxIter":  func(in *CellInput) { in.MaxIter = 500 },
 		"MaxBlock": func(in *CellInput) { in.MaxBlock++ },
 		"Precond":  func(in *CellInput) { in.Precond = precond.Jacobi },
-		"Kernel":   func(in *CellInput) { in.Kernel = sparse.KernelCSR },
 	}
 	for name, mutate := range mutations {
 		if mutate == nil {
@@ -141,7 +138,7 @@ func testEntry() *ResultEntry {
 			Converged: true, Iterations: 123, TotalSteps: 130,
 			RelResidual: 9.87e-9, SimTime: 0.0123456789, RecoveryTime: 0.001,
 			WastedIters: 7, Drift: 1e-12, MaxNodeBytes: 4096, HaloBytes: 2048,
-			BytesSent: 65536, ActiveNodes: 8, Kernels: "band+sellc×8",
+			BytesSent: 65536, ActiveNodes: 8, Kernels: "band+csr×8",
 			Recoveries: []core.RecoveryEvent{{Iteration: 30, Ranks: []int{2, 3}, Mode: core.RecoverySpare, RecoveredAt: 20, WastedIters: 7, SparesLeft: -1, ActiveNodes: 8}},
 		},
 	}

@@ -49,13 +49,12 @@ type CellInput struct {
 	MaxIter  int
 	MaxBlock int
 	Precond  precond.Kind
-	Kernel   sparse.KernelKind
 }
 
 // keyVersion is folded into every digest; bump it whenever the canonical
 // encoding (or the meaning of any encoded field) changes, so stale caches
 // miss instead of resurfacing entries computed under old semantics.
-const keyVersion = "esrp-ccache-key-v1"
+const keyVersion = "esrp-ccache-key-v2"
 
 // Key digests the canonical encoding. The encoding is a fixed-order,
 // tag-prefixed byte string (ints as little-endian uint64, floats as their
@@ -93,7 +92,6 @@ func (in CellInput) Key() Key {
 	putInt('I', in.MaxIter)
 	putInt('b', in.MaxBlock)
 	putInt('P', int(in.Precond))
-	putInt('k', int(in.Kernel))
 
 	var k Key
 	h.Sum(k[:0])

@@ -3,8 +3,6 @@ package core
 import (
 	"runtime/debug"
 	"testing"
-
-	"esrp/internal/sparse"
 )
 
 // perIterationAllocs measures the marginal heap allocations of one extra CG
@@ -52,8 +50,9 @@ func perIterationAllocs(t *testing.T, mut func(*Config)) float64 {
 // every-iteration augmented exchange of ESR (ReceivedCopy retention through
 // the recycle pool), ESRP's periodic storage stages, and IMCR's buddy
 // checkpoints (payload buffers reused, superseded ones released). The whole
-// table runs once per forced SpMV kernel on top of the suite's default
-// (ESRP_TEST_KERNEL or auto), so no storage layout can smuggle a
+// table runs once per SpMV layout the planner picks, each named after its
+// layout: the Poisson system plans onto band and the banded system onto
+// CSR (pinned by TestSolveReportsKernels), so neither layout can smuggle a
 // per-iteration allocation into the product path.
 func TestSolveIterationZeroAlloc(t *testing.T) {
 	if raceEnabled {
@@ -68,17 +67,19 @@ func TestSolveIterationZeroAlloc(t *testing.T) {
 		{"esrp-T10", func(cfg *Config) { cfg.Strategy = StrategyESRP; cfg.T = 10; cfg.Phi = 1 }},
 		{"imcr-T10", func(cfg *Config) { cfg.Strategy = StrategyIMCR; cfg.T = 10; cfg.Phi = 1 }},
 	}
-	kernels := []sparse.KernelKind{testKernel(t)}
-	for _, kind := range []sparse.KernelKind{sparse.KernelCSR, sparse.KernelSellC, sparse.KernelBand} {
-		if kind != kernels[0] {
-			kernels = append(kernels, kind)
-		}
+	banded := localPathScenarios(t)["esrp-banded-fail"]
+	inputs := []struct {
+		layout string
+		mut    func(*Config)
+	}{
+		{"band", func(cfg *Config) {}},
+		{"csr", func(cfg *Config) { cfg.A, cfg.B = banded.A, banded.B }},
 	}
-	for _, kind := range kernels {
+	for _, in := range inputs {
 		for _, sub := range strategies {
-			t.Run(kind.String()+"/"+sub.name, func(t *testing.T) {
+			t.Run(in.layout+"/"+sub.name, func(t *testing.T) {
 				mut := func(cfg *Config) {
-					cfg.Kernel = kind
+					in.mut(cfg)
 					sub.mut(cfg)
 				}
 				// A genuine leak shows up at ≥ 1 alloc per iteration (1.0) or per

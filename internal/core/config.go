@@ -103,16 +103,6 @@ type Config struct {
 	PrecondKind precond.Kind // paper: block Jacobi
 	MaxBlock    int          // block Jacobi maximum block size (paper: 10)
 
-	// Kernel selects the storage layout of the local SpMV. The zero value
-	// KernelAuto lets the Prepare-time planner inspect each node's interior
-	// and boundary row blocks and pick per block (constant-band for stencil
-	// runs, SELL-C for regular-width blocks, scalar CSR otherwise); the
-	// forced kinds exist for ablation and irregular inputs. Every kind
-	// computes identical per-row sums in identical order, so trajectories,
-	// the simulated clock and all traffic counters are bitwise invariant
-	// under this knob — only host wall-clock changes.
-	Kernel sparse.KernelKind
-
 	Strategy Strategy
 	T        int // checkpointing interval (ignored for None/ESR)
 	Phi      int // redundancy copies / supported simultaneous failures
@@ -281,9 +271,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	if cfg.PrecondKind == precond.Default {
 		cfg.PrecondKind = precond.BlockJacobi // the paper's choice
-	}
-	if !cfg.Kernel.Valid() {
-		return cfg, fmt.Errorf("core: invalid SpMV kernel kind %d", int(cfg.Kernel))
 	}
 	if cfg.InnerRtol <= 0 {
 		cfg.InnerRtol = 1e-14
@@ -462,10 +449,11 @@ type Result struct {
 	// over nodes — as opposed to the planned volume of aspmv.ExtraTraffic.
 	HaloBytes int64
 
-	// Kernels holds each node's SpMV kernel layout ("csr", "sellc", "band",
-	// or a mixed interior+boundary pair) as chosen by Config.Kernel and, for
-	// KernelAuto, the Prepare-time planner. Condense for display with
-	// CondenseKernels. Purely host-side metadata: the choice never affects
+	// Kernels holds each node's SpMV kernel layout ("csr", "band", or a
+	// mixed interior+boundary pair) as chosen by the Prepare-time planner
+	// from the node's row structure. Condense for display with
+	// CondenseKernels. Purely host-side metadata: every layout computes the
+	// same per-row sums in the same order, so the choice never affects
 	// trajectories or the simulated clock.
 	Kernels []string
 
@@ -480,7 +468,7 @@ type Result struct {
 
 // CondenseKernels condenses per-node kernel layout names (Result.Kernels)
 // into a compact "name×count" display, counts in first-seen node order:
-// e.g. "band+sellc×14, csr×2".
+// e.g. "band×14, band+csr×2".
 func CondenseKernels(names []string) string {
 	if len(names) == 0 {
 		return ""

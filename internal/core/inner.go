@@ -56,7 +56,7 @@ func (run *nodeRun) innerSolve(failed []int, flo, fhi int, w []float64) {
 	if err != nil {
 		panic(fmt.Sprintf("core: inner plan: %v", err))
 	}
-	x, halo := innerPCG(sub, asub, iplan, ipart, run.pc, w, run.cfg.InnerRtol, maxIter, run.cfg.BlockingExchange, run.cfg.Kernel)
+	x, halo := innerPCG(sub, asub, iplan, ipart, run.pc, w, run.cfg.InnerRtol, maxIter, run.cfg.BlockingExchange)
 	run.ex.AddHaloBytes(halo) // the reconstruction's SpMV halo counts too
 	copy(run.x, x)
 }
@@ -81,7 +81,7 @@ func (run *nodeRun) innerSolveGathered(sub *cluster.Node, asub *sparse.CSR, ipar
 			panic(fmt.Sprintf("core: sequential inner preconditioner: %v", err))
 		}
 		solo := sub.Sub([]int{sub.GlobalRank()})
-		xall, _ := innerPCG(solo, asub, seqPlan, seqPart, pc, ball, run.cfg.InnerRtol, maxIter, run.cfg.BlockingExchange, run.cfg.Kernel)
+		xall, _ := innerPCG(solo, asub, seqPlan, seqPart, pc, ball, run.cfg.InnerRtol, maxIter, run.cfg.BlockingExchange)
 		copy(run.x, xall[ipart.Lo(0):ipart.Hi(0)])
 		for s := 1; s < sub.Size(); s++ {
 			sub.Send(s, tagInnerGather, xall[ipart.Lo(s):ipart.Hi(s)])
@@ -100,7 +100,7 @@ func (run *nodeRun) innerSolveGathered(sub *cluster.Node, asub *sparse.CSR, ipar
 // product overlapping the in-flight halo (unless blocking). The second
 // return value is the halo payload this rank shipped during the solve, for
 // the caller to fold into its measured-halo counter.
-func innerPCG(nd *cluster.Node, a *sparse.CSR, plan *aspmv.Plan, ipart *dist.Partition, pc precond.Preconditioner, b []float64, rtol float64, maxIter int, blocking bool, kind sparse.KernelKind) ([]float64, int64) {
+func innerPCG(nd *cluster.Node, a *sparse.CSR, plan *aspmv.Plan, ipart *dist.Partition, pc precond.Preconditioner, b []float64, rtol float64, maxIter int, blocking bool) ([]float64, int64) {
 	me := nd.Rank()
 	lo, hi := ipart.Lo(me), ipart.Hi(me)
 	m := hi - lo
@@ -108,7 +108,7 @@ func innerPCG(nd *cluster.Node, a *sparse.CSR, plan *aspmv.Plan, ipart *dist.Par
 	if err != nil {
 		panic(fmt.Sprintf("core: inner local matrix: %v", err))
 	}
-	kern := sparse.BuildKernel(local, kind)
+	kern := sparse.BuildKernel(local, sparse.KernelAuto)
 	ex := plan.NewExchanger(me)
 
 	x := make([]float64, m)

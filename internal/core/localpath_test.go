@@ -2,6 +2,8 @@ package core
 
 import (
 	"testing"
+
+	"esrp/internal/matgen"
 )
 
 // localPathScenarios covers every strategy/recovery path the overlapped
@@ -39,6 +41,16 @@ func localPathScenarios(t *testing.T) map[string]Config {
 			cfg.Phi = 1
 			cfg.NoSpareNodes = true
 			cfg.Failure = &FailureSpec{Iteration: 28, Ranks: []int{5}}
+		}),
+		// A banded matrix with irregular rows: the SpMV planner finds no
+		// shifted-pattern runs, so every node runs the scalar CSR layout.
+		"esrp-banded-fail": mk(func(cfg *Config) {
+			cfg.A = matgen.BandedSPD(2304, 8, 5)
+			cfg.B, _ = matgen.RHSForSolution(cfg.A, 12)
+			cfg.Strategy = StrategyESRP
+			cfg.T = 5
+			cfg.Phi = 2
+			cfg.Failure = &FailureSpec{Iteration: 8, Ranks: []int{2, 3}}
 		}),
 	}
 }

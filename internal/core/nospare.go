@@ -314,7 +314,7 @@ func (run *nodeRun) innerSolveLocal(flo, fhi int, w []float64, pc precond.Precon
 		maxIter = 100 * asub.Rows
 	}
 	solo := run.nd.Sub([]int{run.nd.GlobalRank()})
-	x, _ := innerPCG(solo, asub, seqPlan, seqPart, pc, w, run.cfg.InnerRtol, maxIter, run.cfg.BlockingExchange, run.cfg.Kernel)
+	x, _ := innerPCG(solo, asub, seqPlan, seqPart, pc, w, run.cfg.InnerRtol, maxIter, run.cfg.BlockingExchange)
 	return x
 }
 
@@ -417,7 +417,7 @@ func (run *nodeRun) shrinkTo(sub *cluster.Node, survivors, failed []int, adopter
 		panic(fmt.Sprintf("core: no-spare local matrix: %v", err))
 	}
 	run.local = local
-	run.kern = sparse.BuildKernel(local, run.cfg.Kernel)
+	run.kern = sparse.BuildKernel(local, sparse.KernelAuto)
 	run.nnzLocal = float64(local.NNZ())
 	sent := run.ex.HaloBytes()
 	run.ex = newPlan.NewExchanger(subRank)

@@ -25,23 +25,12 @@ type Prepared struct {
 	balance  bool
 	kind     precond.Kind
 	maxBlock int
-	kernel   sparse.KernelKind
 
 	part   *dist.Partition
 	plan   *aspmv.Plan
 	locals []*sparse.Local
 	kerns  []sparse.Kernel
 	pcs    []precond.Preconditioner
-}
-
-// KernelChoices returns each rank's planned SpMV kernel layout name — what
-// the planner picked per node under KernelAuto, or the forced kind.
-func (p *Prepared) KernelChoices() []string {
-	names := make([]string, len(p.kerns))
-	for s, k := range p.kerns {
-		names[s] = k.Name()
-	}
-	return names
 }
 
 // preparedPhi returns the augmentation level a config's solve bakes into
@@ -95,8 +84,7 @@ func Prepare(cfg Config) (*Prepared, error) {
 	p := &Prepared{
 		a: cfg.A, nodes: cfg.Nodes, phi: phi, naive: cfg.NaiveAugment && phi > 0,
 		balance: cfg.BalanceNNZ, kind: cfg.PrecondKind, maxBlock: cfg.MaxBlock,
-		kernel: cfg.Kernel,
-		part:   part, plan: plan,
+		part: part, plan: plan,
 		locals: make([]*sparse.Local, cfg.Nodes),
 		kerns:  make([]sparse.Kernel, cfg.Nodes),
 		pcs:    make([]precond.Preconditioner, cfg.Nodes),
@@ -116,7 +104,7 @@ func Prepare(cfg Config) (*Prepared, error) {
 		}
 		p.pcs[s] = pc
 		p.locals[s] = local
-		p.kerns[s] = sparse.BuildKernel(local, cfg.Kernel)
+		p.kerns[s] = sparse.BuildKernel(local, sparse.KernelAuto)
 	}
 	return p, nil
 }
@@ -138,8 +126,6 @@ func (p *Prepared) compatibleWith(cfg *Config) error {
 	case p.kind != cfg.PrecondKind || p.maxBlock != cfg.MaxBlock:
 		return fmt.Errorf("core: Prepared preconditioner (%v, maxBlock %d) does not match config (%v, %d)",
 			p.kind, p.maxBlock, cfg.PrecondKind, cfg.MaxBlock)
-	case p.kernel != cfg.Kernel:
-		return fmt.Errorf("core: Prepared SpMV kernel (%v) does not match config (%v)", p.kernel, cfg.Kernel)
 	}
 	return nil
 }

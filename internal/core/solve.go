@@ -154,7 +154,7 @@ type nodeRun struct {
 	allocZero func(n int) []float64
 
 	local *sparse.Local    // block rows in the compact owned+ghost index space
-	kern  sparse.Kernel    // planned SpMV layout over those rows (Config.Kernel)
+	kern  sparse.Kernel    // planned SpMV layout over those rows
 	ex    *aspmv.Exchanger // halo exchange driver (Start/Finish halves)
 
 	// Dynamic solver state (local blocks). These are exactly the data a
@@ -244,7 +244,7 @@ func newNodeRun(cfg *Config, nd *cluster.Node, part *dist.Partition, plan *aspmv
 		if err != nil {
 			return nil, fmt.Errorf("core: local matrix extraction: %w", err)
 		}
-		kern = sparse.BuildKernel(local, cfg.Kernel)
+		kern = sparse.BuildKernel(local, sparse.KernelAuto)
 	}
 	// Fresh makes by default; workspace-recycled buffers under
 	// Config.Workspace. Only x needs the cleared variant (zero initial

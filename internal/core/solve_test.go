@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"os"
 	"testing"
 
 	"esrp/internal/cluster"
@@ -15,23 +14,6 @@ import (
 func fastModel() *cluster.CostModel {
 	m := cluster.DefaultCostModel()
 	return &m
-}
-
-// testKernel returns the SpMV kernel kind the suite runs under: KernelAuto
-// by default, or a forced layout from ESRP_TEST_KERNEL — how CI's
-// kernel-matrix leg pins the golden trajectories and alloc gates once per
-// forced kernel so the fallback paths cannot rot.
-func testKernel(t *testing.T) sparse.KernelKind {
-	t.Helper()
-	s := os.Getenv("ESRP_TEST_KERNEL")
-	if s == "" {
-		return sparse.KernelAuto
-	}
-	kind, err := sparse.ParseKernelKind(s)
-	if err != nil {
-		t.Fatalf("ESRP_TEST_KERNEL: %v", err)
-	}
-	return kind
 }
 
 // baseConfig returns a small but non-trivial problem: a 2304-row Poisson
@@ -47,7 +29,6 @@ func baseConfig(t *testing.T) Config {
 		PrecondKind: precond.BlockJacobi,
 		MaxBlock:    10,
 		CostModel:   fastModel(),
-		Kernel:      testKernel(t),
 	}
 }
 

@@ -83,7 +83,6 @@ type Spec struct {
 	MaxIter   int                // per-run iteration cap (0 = solver default)
 	CostModel *cluster.CostModel // nil = cluster default
 	Precond   precond.Kind       // zero value = block Jacobi
-	Kernel    sparse.KernelKind  // SpMV layout (zero value = planner-chosen)
 
 	// BalanceNNZ runs the whole constellation on the weight-balanced block
 	// row distribution instead of the paper's uniform split (see
@@ -204,9 +203,8 @@ type Report struct {
 	// used — the uniform split, or the balanced one with Spec.BalanceNNZ.
 	Partition *dist.Quality
 
-	// Kernels condenses the per-node SpMV kernel layouts of the reference
-	// run ("band×30, band+sellc×2"): the planner's choices under KernelAuto,
-	// or the forced kind.
+	// Kernels condenses the per-node SpMV kernel layouts the planner chose
+	// for the reference run ("band×30, band+csr×2").
 	Kernels string
 
 	ESRP []Cell // sorted by (T, φ); T = 1 entries are plain ESR
@@ -423,7 +421,6 @@ func (s Spec) config(cfg core.Config) core.Config {
 	cfg.PrecondKind = s.Precond
 	cfg.CostModel = s.CostModel
 	cfg.BalanceNNZ = s.BalanceNNZ
-	cfg.Kernel = s.Kernel
 	cfg.Observe = s.Observe
 	return cfg
 }

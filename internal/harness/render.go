@@ -206,7 +206,7 @@ func Summary(r *Report) string {
 			fmtBytes(r.RefMaxNodeBytes), fmtBytes(r.RefHaloBytes))
 	}
 	if r.Kernels != "" {
-		fmt.Fprintf(&b, "  spmv kernels (%v): %s\n", r.Spec.Kernel, r.Kernels)
+		fmt.Fprintf(&b, "  spmv kernels: %s\n", r.Kernels)
 	}
 	if esr := findPhi(cellsWithT(r.ESRP, 1), r.Spec.Phis[0]); esr != nil {
 		fmt.Fprintf(&b, "  ESR    (T=1,  φ=%d): failure-free overhead %6.2f%%\n", r.Spec.Phis[0], 100*esr.FFOverhead)

@@ -2,9 +2,16 @@ package obs
 
 import (
 	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// -update-chrome regenerates the pinned Chrome trace bytes in testdata.
+// Run it only when a change is meant to alter the trace format.
+var updateChrome = flag.Bool("update-chrome", false, "regenerate the pinned Chrome trace files")
 
 func TestKindTables(t *testing.T) {
 	cats := map[string]bool{"compute": true, "comm": true, "resilience": true}
@@ -229,5 +236,63 @@ func TestCurrentBuild(t *testing.T) {
 	b := CurrentBuild()
 	if b.GoVersion == "" {
 		t.Error("CurrentBuild must report the Go version")
+	}
+}
+
+// TestWriteChromeGolden pins the exact bytes both trace writers emit for a
+// fixed simulated-clock Trace and a fixed HostTrace, so the shared
+// trace_event skeleton cannot drift for either of them.
+func TestWriteChromeGolden(t *testing.T) {
+	sim := &Trace{
+		Nodes:   2,
+		SimTime: 3.5,
+		Ranks: [][]Span{
+			{{Kind: KindVec, Iter: 0, Start: 0, End: 1}, {Kind: KindAllreduce, Iter: 0, Start: 1, End: 2.25}},
+			{{Kind: KindPrecond, Phase: PhaseRecovery, Iter: 1, Start: 0.5, End: 3.5}},
+		},
+		Envelopes: [][]Span{{{Kind: KindRecovery, Phase: PhaseRecovery, Iter: 1, Start: 2.25, End: 3}}, nil},
+		Series:    []IterPoint{{Step: 0, Iter: 0, RelRes: 1e-3, Clock: 2}, {Step: 1, Iter: 1, RelRes: 2.5e-5, Clock: 3.5}},
+		Build:     BuildInfo{GoVersion: "go1.0", Revision: "0123abcd"},
+	}
+	host := &HostTrace{
+		Process:     "esrp campaign host",
+		WallSeconds: 0.125,
+		Build:       BuildInfo{GoVersion: "go1.0"},
+		Threads: []HostThread{
+			{Name: "worker 0", Spans: []HostSpan{{Name: "cell", Cat: "cell", Start: 0, End: 0.0625, Iter: 3, Phase: "solve"}}},
+			{Name: "worker 1", Spans: []HostSpan{{Name: "steal", Cat: "sched", Start: 0.001, End: 0.002, Iter: 2}}},
+		},
+	}
+	for _, tc := range []struct {
+		file  string
+		write func(*bytes.Buffer) error
+	}{
+		{"chrome_trace.json", func(b *bytes.Buffer) error { return sim.WriteChrome(b) }},
+		{"chrome_host_trace.json", func(b *bytes.Buffer) error { return host.WriteChrome(b) }},
+	} {
+		var buf bytes.Buffer
+		if err := tc.write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join("testdata", tc.file)
+		if *updateChrome {
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing pinned trace (run with -update-chrome to create): %v", err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("%s: emitted bytes differ from the pinned file\ngot:\n%s\nwant:\n%s", tc.file, buf.Bytes(), want)
+		}
+		if err := ValidateChromeTrace(buf.Bytes()); err != nil {
+			t.Errorf("%s: %v", tc.file, err)
+		}
 	}
 }

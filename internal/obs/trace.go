@@ -146,57 +146,67 @@ const usPerSec = 1e6 // simulated seconds → trace_event microseconds
 // recovery envelopes nest around their leaf spans. Output is
 // byte-deterministic for a given trace.
 func (t *Trace) WriteChrome(w io.Writer) error {
-	bw := &errWriter{w: w}
-	bw.puts(`{"displayTimeUnit":"ms","otherData":`)
-	meta, err := json.Marshal(struct {
+	meta := struct {
 		SimTime   float64 `json:"sim_time_seconds"`
 		Nodes     int     `json:"nodes"`
 		GoVersion string  `json:"go_version"`
 		Revision  string  `json:"vcs_revision,omitempty"`
-	}{t.SimTime, t.Nodes, t.Build.GoVersion, t.Build.Revision})
+	}{t.SimTime, t.Nodes, t.Build.GoVersion, t.Build.Revision}
+	threads := make([]string, t.Nodes)
+	for g := range threads {
+		threads[g] = "rank " + strconv.Itoa(g)
+	}
+	return writeChrome(w, meta, "esrp simulated cluster", threads, func(emit func(any)) {
+		for g := 0; g < t.Nodes; g++ {
+			// Envelopes first: at equal start timestamps the enclosing event
+			// must precede its children for viewers that resolve nesting by
+			// order, and a fixed order keeps the bytes deterministic.
+			for _, s := range t.Envelopes[g] {
+				emit(spanEvent(g, s))
+			}
+			for _, s := range t.Ranks[g] {
+				emit(spanEvent(g, s))
+			}
+		}
+		for _, p := range t.Series {
+			emit(chromeCounter{Name: "relres", Ph: "C", Ts: p.Clock * usPerSec,
+				Pid: 0, Tid: 0, Args: counterRelArgs{RelRes: p.RelRes}})
+		}
+	})
+}
+
+// writeChrome emits the trace_event JSON skeleton both trace kinds share:
+// the header with otherData, the process_name event and one thread_name
+// event per thread (tid = index), the events body passes to emit, one per
+// line, and the footer.
+func writeChrome(w io.Writer, otherData any, process string, threads []string, body func(emit func(any))) error {
+	bw := &errWriter{w: w}
+	bw.puts(`{"displayTimeUnit":"ms","otherData":`)
+	meta, err := json.Marshal(otherData)
 	if err != nil {
 		return err
 	}
 	bw.put(meta)
 	bw.puts(`,"traceEvents":[`)
 
-	first := true
+	sep := "\n"
 	emit := func(v any) {
 		b, err := json.Marshal(v)
 		if err != nil {
 			bw.err = err
 			return
 		}
-		if !first {
-			bw.puts(",\n")
-		} else {
-			bw.puts("\n")
-			first = false
-		}
+		bw.puts(sep)
+		sep = ",\n"
 		bw.put(b)
 	}
-
 	emit(chromeMeta{Name: "process_name", Ph: "M", Pid: 0, Tid: 0,
-		Args: chromeMetaArgs{Name: "esrp simulated cluster"}})
-	for g := 0; g < t.Nodes; g++ {
-		emit(chromeMeta{Name: "thread_name", Ph: "M", Pid: 0, Tid: g,
-			Args: chromeMetaArgs{Name: "rank " + strconv.Itoa(g)}})
+		Args: chromeMetaArgs{Name: process}})
+	for tid, name := range threads {
+		emit(chromeMeta{Name: "thread_name", Ph: "M", Pid: 0, Tid: tid,
+			Args: chromeMetaArgs{Name: name}})
 	}
-	for g := 0; g < t.Nodes; g++ {
-		// Envelopes first: at equal start timestamps the enclosing event
-		// must precede its children for viewers that resolve nesting by
-		// order, and a fixed order keeps the bytes deterministic.
-		for _, s := range t.Envelopes[g] {
-			emit(spanEvent(g, s))
-		}
-		for _, s := range t.Ranks[g] {
-			emit(spanEvent(g, s))
-		}
-	}
-	for _, p := range t.Series {
-		emit(chromeCounter{Name: "relres", Ph: "C", Ts: p.Clock * usPerSec,
-			Pid: 0, Tid: 0, Args: counterRelArgs{RelRes: p.RelRes}})
-	}
+	body(emit)
 	bw.puts("\n]}\n")
 	return bw.err
 }

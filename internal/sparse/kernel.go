@@ -15,14 +15,11 @@ type KernelKind int
 const (
 	// KernelAuto (the zero value) picks per row block: the constant-band
 	// layout for blocks dominated by shifted-pattern row runs (stencil
-	// interiors), sliced-ELL for regular-width blocks, scalar CSR otherwise.
+	// interiors), scalar CSR otherwise.
 	KernelAuto KernelKind = iota
 	// KernelCSR forces the generic scalar CSR traversal (the fallback every
 	// irregular Matrix-Market input uses).
 	KernelCSR
-	// KernelSellC forces the SELL-C sliced-ELL layout (chunk 8, unrolled
-	// inner loop, one independent accumulator per in-flight row).
-	KernelSellC
 	// KernelBand forces the constant-band/stencil layout (per-run column
 	// offset patterns, no per-entry index loads).
 	KernelBand
@@ -35,32 +32,12 @@ func (k KernelKind) String() string {
 		return "auto"
 	case KernelCSR:
 		return "csr"
-	case KernelSellC:
-		return "sellc"
 	case KernelBand:
 		return "band"
 	default:
 		return fmt.Sprintf("KernelKind(%d)", int(k))
 	}
 }
-
-// ParseKernelKind converts a flag value ("auto", "csr", "sellc", "band").
-func ParseKernelKind(s string) (KernelKind, error) {
-	switch s {
-	case "auto", "":
-		return KernelAuto, nil
-	case "csr":
-		return KernelCSR, nil
-	case "sellc", "sell", "sell-c":
-		return KernelSellC, nil
-	case "band", "stencil":
-		return KernelBand, nil
-	}
-	return KernelAuto, fmt.Errorf("sparse: unknown kernel kind %q (want auto|csr|sellc|band)", s)
-}
-
-// Valid reports whether k is one of the defined kinds.
-func (k KernelKind) Valid() bool { return k >= KernelAuto && k <= KernelBand }
 
 // Kernel computes the local SpMV of one node through a concrete storage
 // layout. The interior/boundary split mirrors Local: MulInterior touches only
@@ -69,8 +46,8 @@ func (k KernelKind) Valid() bool { return k >= KernelAuto && k <= KernelBand }
 // dst[i] exactly once per covered row with the row's products accumulated in
 // source entry order, so results are bitwise identical to Local.Mul.
 type Kernel interface {
-	// Name identifies the layout for reports ("csr", "sellc", "band", or a
-	// mixed "interior+boundary" pair like "band+sellc").
+	// Name identifies the layout for reports ("csr", "band", or a mixed
+	// "interior+boundary" pair like "band+csr").
 	Name() string
 	NNZ() int
 	InteriorNNZ() int
@@ -145,8 +122,6 @@ func BuildKernel(l *Local, kind KernelKind) Kernel {
 	switch kind {
 	case KernelCSR:
 		return l
-	case KernelSellC:
-		return assemble(newSellRows(l, l.InteriorRows), newSellRows(l, l.BoundaryRows))
 	case KernelBand:
 		return assemble(newBandRows(l, l.InteriorRows), newBandRows(l, l.BoundaryRows))
 	case KernelAuto:
@@ -185,33 +160,20 @@ func assemble(interior, boundary blockMul) *planned {
 // the unrolled band loop (rows outside runs fall back to CSR speed inside
 // the band kernel, so moderate coverage already wins — a stencil slab's
 // grid-edge rows break the runs at every grid line, capping coverage near
-// (n-2)/n); sliced-ELL needs at least one full chunk of rows to pay for its
-// gather/scatter indirection.
+// (n-2)/n).
 const (
 	bandMinRun   = bandUnroll
 	bandCoverage = 0.6
-	// sellMaxMeanRow bounds the mean row length SELL-C is planned for.
-	// Short rows leave the scalar CSR loop dominated by per-row overhead,
-	// which the chunked loop amortizes over 8 rows (measured ~1.9× on
-	// ragged 3-entry rows, ~1.1× at 7, parity by ~25); long regular rows
-	// already saturate the load ports in CSR order, and the chunk
-	// bookkeeping only costs there.
-	sellMaxMeanRow = 16
 )
 
 // planBlock inspects one row block's structure and picks its layout: band
-// when shifted-pattern runs dominate, SELL-C for any block with at least one
-// full chunk of rows, scalar CSR for tiny remainders.
+// when shifted-pattern runs dominate, scalar CSR otherwise.
 func planBlock(l *Local, rows []int) blockMul {
 	if len(rows) == 0 {
 		return newCSRRows(l, rows)
 	}
-	band := newBandRows(l, rows)
-	if float64(band.coveredRows()) >= bandCoverage*float64(len(rows)) {
+	if band := newBandRows(l, rows); float64(band.coveredRows()) >= bandCoverage*float64(len(rows)) {
 		return band
-	}
-	if len(rows) >= sellChunk && band.nnz() <= sellMaxMeanRow*len(rows) {
-		return newSellRows(l, rows)
 	}
 	return newCSRRows(l, rows)
 }

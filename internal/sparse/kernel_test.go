@@ -123,7 +123,7 @@ func kernelMatrices(t testing.TB) map[string]*CSR {
 // scalar CSR traversal bit for bit — the invariant that keeps solver
 // trajectories independent of the storage layout.
 func TestKernelsBitwiseIdentical(t *testing.T) {
-	kinds := []KernelKind{KernelAuto, KernelCSR, KernelSellC, KernelBand}
+	kinds := []KernelKind{KernelAuto, KernelCSR, KernelBand}
 	for name, a := range kernelMatrices(t) {
 		splits := [][2]int{{0, a.Rows}} // single node: no ghosts at all
 		third := a.Rows / 3
@@ -191,16 +191,13 @@ func TestKernelPlannerPicksBandForStencil(t *testing.T) {
 	if name := BuildKernel(l, KernelCSR).Name(); name != "csr" {
 		t.Fatalf("forced csr reports %q", name)
 	}
-	if name := BuildKernel(l, KernelSellC).Name(); name != "sellc" {
-		t.Fatalf("forced sellc reports %q", name)
-	}
 	if name := BuildKernel(l, KernelBand).Name(); name != "band" {
 		t.Fatalf("forced band reports %q", name)
 	}
 	irregular := raggedSparse(97, 3)
 	li := localOf(t, irregular, 0, 97)
-	if name := BuildKernel(li, KernelAuto).Name(); strings.Contains(name, "band") {
-		t.Fatalf("planner chose %q for a ragged matrix, band runs cannot dominate there", name)
+	if name := BuildKernel(li, KernelAuto).Name(); name != "csr" {
+		t.Fatalf("planner chose %q for a ragged matrix, want csr (band runs cannot dominate there)", name)
 	}
 }
 
@@ -214,7 +211,7 @@ func BenchmarkKernelMul(b *testing.B) {
 		x[i] = float64(i%17) * 0.25
 	}
 	dst := make([]float64, l.M)
-	for _, kind := range []KernelKind{KernelCSR, KernelSellC, KernelBand, KernelAuto} {
+	for _, kind := range []KernelKind{KernelCSR, KernelBand, KernelAuto} {
 		k := BuildKernel(l, kind)
 		b.Run(kind.String(), func(b *testing.B) {
 			b.SetBytes(int64(12 * l.NNZ()))

@@ -13,6 +13,12 @@ import (
 // entries, general or symmetric storage. Writing always emits
 // "coordinate real", using symmetric storage when the matrix is symmetric.
 
+// maxMatrixMarketDim bounds the row and column counts a size line may
+// declare. Building the CSR allocates O(rows) before any entry is read, so
+// without a bound a few bytes of header could demand terabytes and abort
+// the process; 2^24 is ~18× the largest matrix the paper evaluates.
+const maxMatrixMarketDim = 1 << 24
+
 // ReadMatrixMarket parses a Matrix Market "matrix coordinate" stream.
 // Symmetric (and skew-symmetric) storage is expanded to full storage;
 // pattern entries get value 1.
@@ -62,6 +68,9 @@ func ReadMatrixMarket(r io.Reader) (*CSR, error) {
 	}
 	if rows < 0 || cols < 0 || nnz < 0 {
 		return nil, fmt.Errorf("sparse: negative MatrixMarket size %d %d %d", rows, cols, nnz)
+	}
+	if rows > maxMatrixMarketDim || cols > maxMatrixMarketDim {
+		return nil, fmt.Errorf("sparse: MatrixMarket size %dx%d exceeds the %d-row/column limit", rows, cols, maxMatrixMarketDim)
 	}
 	if symmetry != "general" && rows != cols {
 		return nil, fmt.Errorf("sparse: %s storage needs a square matrix, got %dx%d", symmetry, rows, cols)

@@ -67,12 +67,13 @@ func TestReadMatrixMarketRejectsGarbage(t *testing.T) {
 		"not a header\n1 1 0\n",
 		"%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n4\n",
 		"%%MatrixMarket matrix coordinate complex general\n1 1 1\n1 1 1 0\n",
-		"%%MatrixMarket matrix coordinate real general\n2 2 1\n",            // missing entry
-		"%%MatrixMarket matrix coordinate real general\n2 2 1\n0 1 1.0\n",   // 0-based entry
-		"%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n",   // row beyond rows
-		"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 3 1.0\n",   // column beyond cols
-		"%%MatrixMarket matrix coordinate real symmetric\n3 2 1\n3 1 1.0\n", // non-square symmetric
-		"%%MatrixMarket matrix coordinate real general\n-2 2 0\n",           // negative size
+		"%%MatrixMarket matrix coordinate real general\n2 2 1\n",             // missing entry
+		"%%MatrixMarket matrix coordinate real general\n2 2 1\n0 1 1.0\n",    // 0-based entry
+		"%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n",    // row beyond rows
+		"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 3 1.0\n",    // column beyond cols
+		"%%MatrixMarket matrix coordinate real symmetric\n3 2 1\n3 1 1.0\n",  // non-square symmetric
+		"%%MatrixMarket matrix coordinate real general\n-2 2 0\n",            // negative size
+		"%%MatrixMarket matrix coordinate real general\n1000000000000 1 0\n", // size beyond the limit
 	} {
 		if _, err := ReadMatrixMarket(strings.NewReader(in)); err == nil {
 			t.Fatalf("input %q must be rejected", in)
@@ -124,4 +125,36 @@ func TestWriteReadRoundTripSymmetric(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzReadMatrixMarket feeds arbitrary bytes to the reader: it must either
+// return an error or a structurally valid CSR — monotone RowPtr spanning
+// every entry, sorted in-range columns, and a square shape for symmetric
+// storage. The seed corpus in testdata/fuzz holds the general, symmetric
+// and pattern samples plus the malformed inputs that once panicked.
+func FuzzReadMatrixMarket(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in []byte) {
+		a, err := ReadMatrixMarket(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		if len(a.RowPtr) != a.Rows+1 || a.RowPtr[0] != 0 || a.RowPtr[a.Rows] != len(a.ColIdx) || len(a.Val) != len(a.ColIdx) {
+			t.Fatalf("%dx%d: RowPtr len %d [0]=%d, %d cols, %d vals",
+				a.Rows, a.Cols, len(a.RowPtr), a.RowPtr[0], len(a.ColIdx), len(a.Val))
+		}
+		for i := 0; i < a.Rows; i++ {
+			if a.RowPtr[i] > a.RowPtr[i+1] {
+				t.Fatalf("RowPtr not monotone at row %d", i)
+			}
+			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+				if j := a.ColIdx[k]; j < 0 || j >= a.Cols || (k > a.RowPtr[i] && j <= a.ColIdx[k-1]) {
+					t.Fatalf("row %d: column %d out of [0,%d) or unsorted", i, j, a.Cols)
+				}
+			}
+		}
+		header := strings.Fields(strings.ToLower(strings.SplitN(string(in), "\n", 2)[0]))
+		if len(header) >= 5 && header[4] != "general" && a.Rows != a.Cols {
+			t.Fatalf("%s storage produced a %dx%d matrix", header[4], a.Rows, a.Cols)
+		}
+	})
 }
