@@ -50,10 +50,11 @@ func perIterationAllocs(t *testing.T, mut func(*Config)) float64 {
 // every-iteration augmented exchange of ESR (ReceivedCopy retention through
 // the recycle pool), ESRP's periodic storage stages, and IMCR's buddy
 // checkpoints (payload buffers reused, superseded ones released). The whole
-// table runs once per SpMV layout the planner picks, each named after its
-// layout: the Poisson system plans onto band and the banded system onto
-// CSR (pinned by TestSolveReportsKernels), so neither layout can smuggle a
-// per-iteration allocation into the product path.
+// table runs once per SpMV plan, each named after it: the Poisson system
+// plans onto band, the banded system onto CSR, and the Emilia-like system
+// ("auto") onto a per-block mix of the two (all pinned by
+// TestSolveReportsKernels), so no layout can smuggle a per-iteration
+// allocation into the product path.
 func TestSolveIterationZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates; gate runs in the non-race job")
@@ -72,6 +73,7 @@ func TestSolveIterationZeroAlloc(t *testing.T) {
 		layout string
 		mut    func(*Config)
 	}{
+		{"auto", mixedPlanConfig},
 		{"band", func(cfg *Config) {}},
 		{"csr", func(cfg *Config) { cfg.A, cfg.B = banded.A, banded.B }},
 	}

@@ -162,6 +162,19 @@ func newIMCRState(run *nodeRun) *imcrState {
 		}
 	}
 	sort.Ints(st.sources)
+	// Seed this node's free list with two checkpoint-sized buffers per
+	// source before any round: one carries the source's next shipment while
+	// the other is held here as the latest checkpoint. Seeding both up front
+	// keeps the working set at two whichever node reaches the first round
+	// first — seeding lazily at the first round let a source's first send
+	// consume the lone seed, after which every later send raced this node's
+	// same-window Release and allocated whenever it won. The slack absorbs
+	// uneven partition sizes (the source's m can differ from ours by the
+	// remainder).
+	for range st.sources {
+		run.nd.Release(make([]float64, 4*run.m+8))
+		run.nd.Release(make([]float64, 4*run.m+8))
+	}
 	return st
 }
 
@@ -194,15 +207,6 @@ func (st *imcrState) afterIteration(j int, _ float64) {
 	for _, src := range st.sources {
 		if old := st.held[src]; old != nil {
 			run.nd.Release(old) // superseded checkpoint: recycle its buffer
-		} else {
-			// First round for this source: seed the free list with a second
-			// same-shaped buffer. The steady-state exchange then always has
-			// one buffer held here and one in the pool, so the source's
-			// next-round send never races this node's same-window Release —
-			// with a single circulating buffer that race would allocate on
-			// every lost flip. The slack absorbs uneven partition sizes
-			// (the source's m can differ from ours by the remainder).
-			run.nd.Release(make([]float64, 4*run.m+8))
 		}
 		st.held[src] = run.nd.Recv(src, tagCheckpoint)
 		st.heldIt[src] = j + 1
