@@ -5,15 +5,15 @@ import (
 	"testing"
 )
 
-// perIterationAllocs measures the marginal heap allocations of one extra CG
-// iteration: two fixed-length solves (unreachable tolerance) that differ
-// only in MaxIter, sharing a Prepared context and a Workspace exactly like
-// campaign cells do. Setup allocations (goroutines, exchanger, result
+// perIterationAllocs measures the marginal heap allocations of one extra
+// iteration of solver: two fixed-length solves (unreachable tolerance) that
+// differ only in MaxIter, sharing a Prepared context and a Workspace exactly
+// like campaign cells do. Setup allocations (goroutines, exchanger, result
 // gather) are identical on both sides and cancel; what remains is the
 // steady-state loop — solver vector updates, Exchanger Start/Finish, and
 // the arena collectives — which the zero-allocation hot path must keep off
 // the heap entirely.
-func perIterationAllocs(t *testing.T, mut func(*Config)) float64 {
+func perIterationAllocs(t *testing.T, solver func(Config) (*Result, error), mut func(*Config)) float64 {
 	t.Helper()
 	base := baseConfig(t)
 	base.Rtol = 1e-300 // never converges: iteration count == MaxIter
@@ -29,7 +29,7 @@ func perIterationAllocs(t *testing.T, mut func(*Config)) float64 {
 	solve := func(iters int) {
 		cfg := base
 		cfg.MaxIter = iters
-		res, err := Solve(cfg)
+		res, err := solver(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,11 +88,25 @@ func TestSolveIterationZeroAlloc(t *testing.T) {
 				// checkpoint stage (≥ 0.1 at T=10); the threshold tolerates only
 				// the ±1-per-solve constant of runtime internals (goroutine park
 				// bookkeeping) that the fixed-length delta cannot fully cancel.
-				if per := perIterationAllocs(t, mut); per > 0.02 {
+				if per := perIterationAllocs(t, Solve, mut); per > 0.02 {
 					t.Fatalf("steady-state CG iteration allocates %.2f times (want 0)", per)
 				}
 			})
 		}
+	}
+	// The pipelined solver on the Poisson input: its own loop body, the
+	// shared checkpoint buffers of IMCR.
+	for _, sub := range strategies {
+		if sub.name != "none" && sub.name != "imcr-T10" {
+			continue
+		}
+		t.Run("pipelined/"+sub.name, func(t *testing.T) {
+			per := perIterationAllocs(t, SolvePipelined, sub.mut)
+			t.Logf("%.3f allocs per iteration", per)
+			if per > 0.02 {
+				t.Fatalf("steady-state pipelined iteration allocates %.2f times (want 0)", per)
+			}
+		})
 	}
 }
 

@@ -71,13 +71,58 @@ func recordOf(res *Result) goldenRecord {
 	}
 }
 
+// pipelinedScenarios covers the pipelined solver's recovery paths: the
+// local restart, an IMCR rollback, and a two-event IMCR timeline whose
+// second failure must restore from the buddy that the first one replaced,
+// with a detection charge on every event.
+func pipelinedScenarios(t *testing.T) map[string]Config {
+	t.Helper()
+	mk := func(mut func(*Config)) Config {
+		cfg := baseConfig(t)
+		cfg.RecordResiduals = true
+		mut(&cfg)
+		return cfg
+	}
+	return map[string]Config{
+		"pipelined-none-fail": mk(func(cfg *Config) {
+			cfg.Failure = &FailureSpec{Iteration: 30, Ranks: []int{3}}
+		}),
+		"pipelined-imcr-fail": mk(func(cfg *Config) {
+			cfg.Strategy = StrategyIMCR
+			cfg.T = 10
+			cfg.Phi = 1
+			cfg.Failure = &FailureSpec{Iteration: 33, Ranks: []int{4}}
+		}),
+		"pipelined-imcr-multi-detect": mk(func(cfg *Config) {
+			cfg.Strategy = StrategyIMCR
+			cfg.T = 10
+			cfg.Phi = 1
+			cfg.DetectionTime = 2e-5
+			cfg.Failures = []FailureSpec{
+				{Iteration: 25, Ranks: []int{2}},
+				{Iteration: 44, Ranks: []int{1}}, // rank 1's buddy is rank 2
+			}
+		}),
+	}
+}
+
 // TestGoldenTrajectories pins the residual trajectories, iterand digest,
 // simulated clock, traffic counters and Result.Events of every
 // strategy/recovery path against the committed golden file. Any execution
 // rewrite (collectives, kernels, buffer reuse) must keep these byte-
 // identical; only deliberate numerical changes may regenerate the file.
 func TestGoldenTrajectories(t *testing.T) {
-	scenarios := localPathScenarios(t)
+	type scenario struct {
+		cfg   Config
+		solve func(Config) (*Result, error)
+	}
+	scenarios := make(map[string]scenario)
+	for name, cfg := range localPathScenarios(t) {
+		scenarios[name] = scenario{cfg, Solve}
+	}
+	for name, cfg := range pipelinedScenarios(t) {
+		scenarios[name] = scenario{cfg, SolvePipelined}
+	}
 	names := make([]string, 0, len(scenarios))
 	for name := range scenarios {
 		names = append(names, name)
@@ -86,7 +131,8 @@ func TestGoldenTrajectories(t *testing.T) {
 
 	got := make(map[string]goldenRecord, len(names))
 	for _, name := range names {
-		res, err := Solve(scenarios[name])
+		sc := scenarios[name]
+		res, err := sc.solve(sc.cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -15,10 +15,10 @@ func mixedPlanConfig(cfg *Config) {
 	cfg.B, _ = matgen.RHSForSolution(cfg.A, 12)
 }
 
-// TestSolveReportsKernels: Result.Kernels carries one layout name per node,
-// the Poisson test problem's slabs plan onto the band layout, the banded
-// scenario's irregular rows plan onto scalar CSR on every node, and the
-// Emilia-like system gets a mixed plan.
+// TestSolveReportsKernels: Result.Kernels carries one layout name per node
+// (for the pipelined solver too), the Poisson test problem's slabs plan onto
+// the band layout, the banded scenario's irregular rows plan onto scalar CSR
+// on every node, and the Emilia-like system gets a mixed plan.
 func TestSolveReportsKernels(t *testing.T) {
 	cfg := baseConfig(t)
 	res := solveOK(t, cfg)
@@ -32,6 +32,9 @@ func TestSolveReportsKernels(t *testing.T) {
 	banded := solveOK(t, localPathScenarios(t)["esrp-banded-fail"])
 	if c := CondenseKernels(banded.Kernels); c != "csr×8" {
 		t.Fatalf("planner chose %q for the banded system, want csr×8", c)
+	}
+	if pipe := solvePipeOK(t, cfg); CondenseKernels(pipe.Kernels) != condensed {
+		t.Fatalf("pipelined solve reports kernels %q, standard %q", CondenseKernels(pipe.Kernels), condensed)
 	}
 	mixed := baseConfig(t)
 	mixedPlanConfig(&mixed)

@@ -150,6 +150,16 @@ func TestPipelinedRejectsUnsupportedStrategies(t *testing.T) {
 	if _, err := SolvePipelined(cfg); err == nil {
 		t.Fatal("pipelined + ESR must be rejected")
 	}
+	cfg = pipeBaseConfig(t)
+	cfg.ResidualReplacementInterval = 10
+	if _, err := SolvePipelined(cfg); err == nil {
+		t.Fatal("pipelined + residual replacement must be rejected, not silently ignored")
+	}
+	cfg = pipeBaseConfig(t)
+	cfg.NoSpareNodes = true
+	if _, err := SolvePipelined(cfg); err == nil {
+		t.Fatal("pipelined + NoSpareNodes must be rejected")
+	}
 }
 
 func TestPipelinedDeterministic(t *testing.T) {

@@ -125,27 +125,30 @@ func (st *esrState) lose() {
 }
 
 // imcrState implements in-memory buddy checkpoint-restart: every T
-// iterations each node ships the local parts of x, r, z, p to its φ buddy
-// nodes (chosen by the same Eq. 1 as the ASpMV designated destinations) and
-// keeps a local copy for its own rollback.
+// iterations each node ships the local parts of its solver variant's state
+// vectors and trailing scalars to its φ buddy nodes (chosen by the same
+// Eq. 1 as the ASpMV designated destinations) and keeps a local copy for its
+// own rollback. Standard PCG checkpoints x, r, z, p; pipelined PCG its eight
+// vectors plus γ and α.
 type imcrState struct {
 	run     *nodeRun
 	t       int
-	buddies []int // ranks I checkpoint to
-	sources []int // ranks that checkpoint to me (ascending)
+	vecs    [][]float64 // checkpointed local vectors, in payload order
+	scalars []*float64  // checkpointed scalars, appended after vecs
+	buddies []int       // ranks I checkpoint to
+	sources []int       // ranks that checkpoint to me (ascending)
 
-	ownIter int // iteration of the local checkpoint; -1 none
+	ownIter int // iteration the local checkpoint restores; -1 none
 	ownData []float64
 	held    map[int][]float64 // source rank -> latest checkpoint payload
-	heldIt  map[int]int
 }
 
-func newIMCRState(run *nodeRun) *imcrState {
+func newIMCRState(run *nodeRun, vecs [][]float64, scalars []*float64) *imcrState {
 	n := run.cfg.Nodes
 	s := run.nd.Rank()
 	st := &imcrState{
-		run: run, t: run.cfg.T, ownIter: -1,
-		held: make(map[int][]float64), heldIt: make(map[int]int),
+		run: run, t: run.cfg.T, vecs: vecs, scalars: scalars, ownIter: -1,
+		held: make(map[int][]float64),
 	}
 	for k := 1; k <= run.cfg.Phi; k++ {
 		st.buddies = append(st.buddies, aspmv.Designated(s, k, n))
@@ -169,49 +172,80 @@ func newIMCRState(run *nodeRun) *imcrState {
 	// first — seeding lazily at the first round let a source's first send
 	// consume the lone seed, after which every later send raced this node's
 	// same-window Release and allocated whenever it won. The slack absorbs
-	// uneven partition sizes (the source's m can differ from ours by the
-	// remainder).
+	// uneven partition sizes (the source's m can exceed ours by one row per
+	// vector).
 	for range st.sources {
-		run.nd.Release(make([]float64, 4*run.m+8))
-		run.nd.Release(make([]float64, 4*run.m+8))
+		run.nd.Release(make([]float64, st.size()+8))
+		run.nd.Release(make([]float64, st.size()+8))
 	}
 	return st
 }
 
+// size is the length of a checkpoint payload.
+func (st *imcrState) size() int { return len(st.vecs)*st.run.m + len(st.scalars) }
+
 func (st *imcrState) beforeSpMV(int) bool       { return false }
 func (st *imcrState) retain(aspmv.ReceivedCopy) { panic("core: IMCR retains no ASpMV copies") }
+
+// afterIteration checkpoints standard PCG after every T-th iteration j. The
+// state now in x, r, z, p is the state at the start of iteration j+1, so the
+// checkpoint restores iteration j+1 — the same recovery point ESRP's storage
+// stage at (j, j+1) yields.
 func (st *imcrState) afterIteration(j int, _ float64) {
-	if j%st.t != 0 || j == 0 {
-		return
+	if j%st.t == 0 && j != 0 {
+		st.checkpoint(j + 1)
 	}
+}
+
+// checkpoint copies the variant's state into the local checkpoint, which
+// restores iteration iter, and ships it to the buddies. The payload reuses
+// the previous checkpoint's backing array (Send copies it into a pooled
+// buffer before it leaves the node).
+func (st *imcrState) checkpoint(iter int) {
+	payload := st.ownData[:0]
+	if cap(payload) < st.size() {
+		payload = make([]float64, 0, st.size())
+	}
+	for _, v := range st.vecs {
+		payload = append(payload, v...)
+	}
+	for _, s := range st.scalars {
+		payload = append(payload, *s)
+	}
+	st.ownIter = iter
+	st.ownData = payload
+	st.ship()
+}
+
+// ship sends the local checkpoint to the buddies and receives the sources'
+// checkpoints, recycling the buffers they supersede.
+func (st *imcrState) ship() {
 	run := st.run
 	tCkpt := run.nd.Clock()
-	// The state now in x, r, z, p is the state at the start of iteration
-	// j+1, so the restorable checkpoint is for iteration j+1 — the same
-	// recovery point ESRP's storage stage at (j, j+1) yields. The payload
-	// reuses the previous checkpoint's backing array (Send copies it into a
-	// pooled buffer before it leaves the node).
-	payload := st.ownData[:0]
-	if cap(payload) < 4*run.m {
-		payload = make([]float64, 0, 4*run.m)
-	}
-	payload = append(payload, run.x...)
-	payload = append(payload, run.r...)
-	payload = append(payload, run.z...)
-	payload = append(payload, run.p...)
-	st.ownIter = j + 1
-	st.ownData = payload
 	for _, b := range st.buddies {
-		run.nd.Send(b, tagCheckpoint, payload)
+		run.nd.Send(b, tagCheckpoint, st.ownData)
 	}
 	for _, src := range st.sources {
 		if old := st.held[src]; old != nil {
-			run.nd.Release(old) // superseded checkpoint: recycle its buffer
+			run.nd.Release(old)
 		}
 		st.held[src] = run.nd.Recv(src, tagCheckpoint)
-		st.heldIt[src] = j + 1
 	}
 	run.tr.Span(obs.KindCheckpoint, tCkpt, run.nd.Clock())
+}
+
+// restore loads a checkpoint payload into the variant's state.
+func (st *imcrState) restore(data []float64) {
+	if len(data) != st.size() {
+		panic(fmt.Sprintf("core: checkpoint size %d, want %d", len(data), st.size()))
+	}
+	m := st.run.m
+	for i, v := range st.vecs {
+		copy(v, data[i*m:(i+1)*m])
+	}
+	for i, s := range st.scalars {
+		*s = data[len(st.vecs)*m+i]
+	}
 }
 
 func (st *imcrState) stateBytes() int64 {
@@ -226,7 +260,6 @@ func (st *imcrState) lose() {
 	st.ownIter = -1
 	st.ownData = nil
 	st.held = make(map[int][]float64)
-	st.heldIt = make(map[int]int)
 }
 
 // ---------------------------------------------------------------------------
@@ -277,10 +310,11 @@ func rankIsFailed(failed []int, s int) bool {
 
 // handleFailure processes one timeline event on every node: it decides
 // between the spare-pool recovery and the no-spare shrink fallback, runs the
-// strategy's protocol, and records the event. It returns the iteration the
-// solver resumes from and the recovery mode. All inputs to the decision
-// (timeline, spare counter, cluster size) are replicated deterministically,
-// so every node branches identically without communication.
+// strategy's protocol, and records the event and its wasted work. It
+// returns the iteration the solver resumes from and the recovery mode. All
+// inputs to the decision (timeline, spare counter, cluster size) are
+// replicated deterministically, so every node branches identically without
+// communication.
 func (run *nodeRun) handleFailure(j int, ev *FailureSpec) (int, string) {
 	run.nextEvent++
 	failed := ev.Ranks
@@ -306,8 +340,7 @@ func (run *nodeRun) handleFailure(j int, ev *FailureSpec) (int, string) {
 	var mode string
 	switch run.cfg.Strategy {
 	case StrategyNone:
-		jrec = run.localRestart(j, failed)
-		mode = RecoveryRestart
+		jrec, mode = run.v.restart(j, failed)
 	case StrategyESR, StrategyESRP:
 		if run.sparesLeft >= 0 && run.sparesLeft < len(failed) {
 			// Pool exhausted (or was empty from the start): no replacements
@@ -331,6 +364,9 @@ func (run *nodeRun) handleFailure(j int, ev *FailureSpec) (int, string) {
 	run.tr.Envelope(j, tEnv, run.nd.Clock())
 	run.nd.Sched().EnvEnd()
 	run.tr.SetPhase(obs.PhaseSteady)
+	run.wastedIters += j - jrec
+	run.recoveredAt = jrec
+	run.recovered = true
 	if !run.retired {
 		run.logEvent(ev, failed, mode, jrec, j)
 	}
@@ -348,6 +384,11 @@ func (run *nodeRun) logEvent(ev *FailureSpec, failed []int, mode string, jrec, j
 		SparesLeft:  run.sparesLeft,
 		ActiveNodes: run.nd.Size(),
 	})
+}
+
+// restart is the standard variant's StrategyNone recovery: a local restart.
+func (run *nodeRun) restart(j int, failed []int) (int, string) {
+	return run.localRestart(j, failed), RecoveryRestart
 }
 
 // localRestart is the no-redundancy fallback (and the StrategyNone
@@ -663,30 +704,33 @@ func (run *nodeRun) restoreScalars(betaStar float64, st *esrState) {
 	}
 }
 
+// resumeScalars re-establishes standard PCG's replicated scalars after an
+// IMCR rollback.
+func (run *nodeRun) resumeScalars() { run.restoreScalars(0, nil) }
+
 // recoverIMCR implements the checkpoint-restart recovery: replacements
-// retrieve their vectors from a surviving buddy, survivors roll back to
-// their local checkpoint copy.
+// retrieve their state from a surviving buddy, survivors roll back to their
+// local checkpoint copy. Without a checkpoint (none taken yet, or the
+// pipelined solver under StrategyNone) every node restarts from its iterand.
 func (run *nodeRun) recoverIMCR(j int, failed []int) (int, string) {
-	st := run.res.(*imcrState)
+	st, _ := run.res.(*imcrState)
 	n := run.nd.Size()
 	amFailed := run.amFailed(failed)
 	t0 := run.nd.Clock()
 	run.nd.Sched().RecStart()
 
 	if amFailed {
-		run.loseDynamicState()
+		run.v.loseDynamicState()
 	}
 	root := run.lowestSurvivor(failed)
 	var hdr [2]float64
-	if run.nd.Rank() == root {
-		if st.ownIter >= 0 {
-			hdr = [2]float64{float64(st.ownIter), 1}
-		}
+	if run.nd.Rank() == root && st != nil && st.ownIter >= 0 {
+		hdr = [2]float64{float64(st.ownIter), 1}
 	}
 	run.nd.Bcast(root, hdr[:])
 	jrec, recoverable := int(hdr[0]), hdr[1] != 0
 	if !recoverable {
-		run.initFromX()
+		run.v.initFromX()
 		run.recoveryTime = math.Max(run.recoveryTime, run.nd.Clock()-t0)
 		run.nd.Sched().RecEnd()
 		return j, RecoveryRestart
@@ -716,24 +760,15 @@ func (run *nodeRun) recoverIMCR(j int, failed []int) (int, string) {
 			run.nd.Send(fr, tagCkptRestore, data)
 		} else if me == fr {
 			data := run.nd.Recv(sender, tagCkptRestore)
-			if len(data) != 4*run.m {
-				panic(fmt.Sprintf("core: checkpoint size %d, want %d", len(data), 4*run.m))
-			}
 			run.notePeak(8 * int64(len(data))) // restore payload in flight
-			copy(run.x, data[0:run.m])
-			copy(run.r, data[run.m:2*run.m])
-			copy(run.z, data[2*run.m:3*run.m])
-			copy(run.p, data[3*run.m:4*run.m])
+			st.restore(data)
 			st.ownIter = jrec
 			st.ownData = append(st.ownData[:0], data...)
 			run.nd.Release(data)
 		}
 	}
 	if !amFailed {
-		copy(run.x, st.ownData[0:run.m])
-		copy(run.r, st.ownData[run.m:2*run.m])
-		copy(run.z, st.ownData[2*run.m:3*run.m])
-		copy(run.p, st.ownData[3*run.m:4*run.m])
+		st.restore(st.ownData)
 	}
 	run.tr.Span(obs.KindRecoverGather, tGather, run.nd.Clock())
 	if run.pendingEvents() {
@@ -743,20 +778,9 @@ func (run *nodeRun) recoverIMCR(j int, failed []int) (int, string) {
 		// every buddy relationship is whole again — otherwise a follow-up
 		// failure whose surviving buddy is a just-recovered node would find
 		// nothing to restore from.
-		tCkpt := run.nd.Clock()
-		for _, b := range st.buddies {
-			run.nd.Send(b, tagCheckpoint, st.ownData)
-		}
-		for _, src := range st.sources {
-			if old := st.held[src]; old != nil {
-				run.nd.Release(old)
-			}
-			st.held[src] = run.nd.Recv(src, tagCheckpoint)
-			st.heldIt[src] = jrec
-		}
-		run.tr.Span(obs.KindCheckpoint, tCkpt, run.nd.Clock())
+		st.ship()
 	}
-	run.restoreScalars(0, nil)
+	run.v.resumeScalars()
 	run.recoveryTime = math.Max(run.recoveryTime, run.nd.Clock()-t0)
 	run.nd.Sched().RecEnd()
 	return jrec, RecoverySpare

@@ -15,10 +15,20 @@ import (
 
 // Solve runs the configured PCG solve on a simulated cluster and returns the
 // aggregated result. It is deterministic for a fixed configuration.
-func Solve(cfg Config) (*Result, error) {
+func Solve(cfg Config) (*Result, error) { return solve(cfg, false) }
+
+// solve is the driver of both solver variants: standard PCG, or pipelined
+// PCG (SolvePipelined) on the same partition, plan, cluster, observers,
+// failure handling and result collection.
+func solve(cfg Config, pipelined bool) (*Result, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
+	}
+	if pipelined {
+		if err := checkPipelined(&cfg); err != nil {
+			return nil, err
+		}
 	}
 	model := cluster.DefaultCostModel()
 	if cfg.CostModel != nil {
@@ -52,11 +62,11 @@ func Solve(cfg Config) (*Result, error) {
 	nodeHalo := make([]int64, cfg.Nodes)
 	nodeKern := make([]string, cfg.Nodes)
 	runErr := comm.Run(func(nd *cluster.Node) {
-		run, err := newNodeRun(&cfg, nd, part, plan)
+		run, err := newNodeRun(&cfg, nd, part, plan, pipelined)
 		if err != nil {
 			panic(err)
 		}
-		run.main(result)
+		run.v.main(result)
 		nodeMem[nd.GlobalRank()] = run.maxBytes()
 		nodeHalo[nd.GlobalRank()] = run.ex.HaloBytes()
 		nodeKern[nd.GlobalRank()] = run.kern.Name()
@@ -126,6 +136,18 @@ func PartitionFor(cfg Config) (*dist.Partition, error) {
 	return buildPartition(&cfg)
 }
 
+// variant is the Krylov recurrence a node runs: standard PCG (*nodeRun) or
+// pipelined PCG (*pipeRun, which embeds it). The driver, the failure handler
+// and IMCR reach the recurrence's own state only through it.
+type variant interface {
+	main(result *Result)                                  // iterate, then finish
+	checkpointed() (vecs [][]float64, scalars []*float64) // what IMCR saves
+	loseDynamicState()                                    // node failure
+	initFromX()                                           // restart from the iterand
+	resumeScalars()                                       // after an IMCR rollback
+	restart(j int, failed []int) (jrec int, mode string)  // StrategyNone failure
+}
+
 // nodeRun is the per-node solver state. All of it is O(local + halo): the
 // node holds its block rows as a compact local matrix, its vector blocks,
 // and an owned+ghost assembly buffer — never a full-length vector.
@@ -166,7 +188,9 @@ type nodeRun struct {
 	betaPrev    float64   // β of the previous iteration
 	bNormGlobal float64
 
-	res resilience // strategy-specific redundant storage (nil for None)
+	v          variant    // run itself, or the pipelined run embedding it
+	extraBytes int64      // the variant's vectors beyond x, r, z, p, q, pg
+	res        resilience // strategy-specific redundant storage (nil for None)
 
 	// Failure timeline state. Every node advances it identically (the
 	// timeline is deterministic shared configuration), so no communication
@@ -221,7 +245,7 @@ func growI(buf []int, n int) []int {
 	return buf
 }
 
-func newNodeRun(cfg *Config, nd *cluster.Node, part *dist.Partition, plan *aspmv.Plan) (*nodeRun, error) {
+func newNodeRun(cfg *Config, nd *cluster.Node, part *dist.Partition, plan *aspmv.Plan, pipelined bool) (*nodeRun, error) {
 	s := nd.Rank()
 	lo, hi := part.Lo(s), part.Hi(s)
 	var pc precond.Preconditioner
@@ -266,13 +290,23 @@ func newNodeRun(cfg *Config, nd *cluster.Node, part *dist.Partition, plan *aspmv
 		events: cfg.Failures, phi: cfg.Phi,
 		sparesLeft: initialSpares(cfg),
 	}
+	run.v = run
+	if pipelined {
+		run.v = newPipeRun(run)
+	}
 	switch cfg.Strategy {
 	case StrategyESR, StrategyESRP:
 		run.res = newESRState(run)
 	case StrategyIMCR:
-		run.res = newIMCRState(run)
+		vecs, scalars := run.v.checkpointed()
+		run.res = newIMCRState(run, vecs, scalars)
 	}
 	return run, nil
+}
+
+// checkpointed lists the standard PCG state an IMCR checkpoint holds.
+func (run *nodeRun) checkpointed() ([][]float64, []*float64) {
+	return [][]float64{run.x, run.r, run.z, run.p}, nil
 }
 
 // initialSpares maps the config's pool knobs to the per-node counter:
@@ -404,9 +438,6 @@ func (run *nodeRun) main(result *Result) {
 				return // no-spare shrink: this node is gone
 			}
 			if mode != RecoverySkipped {
-				run.wastedIters += j - jrec
-				run.recoveredAt = jrec
-				run.recovered = true
 				j = jrec
 				continue
 			}
@@ -460,6 +491,12 @@ func (run *nodeRun) main(result *Result) {
 		}
 	}
 
+	run.finish(result, converged, j, totalSteps, relres)
+}
+
+// finish is the epilogue shared by both solver variants: the drift check,
+// the recovery-time reduction and the gather of x into rank 0's result.
+func (run *nodeRun) finish(result *Result, converged bool, j, totalSteps int, relres float64) {
 	run.tr.SetIter(-1) // epilogue: drift check and the final gather
 	drift := run.residualDrift(relres)
 	run.nd.Sched().RTFinal() // this rank's recoveryTime enters the reduction
@@ -467,7 +504,7 @@ func (run *nodeRun) main(result *Result) {
 
 	xParts := run.nd.Gather(0, run.x)
 	if run.nd.Rank() == 0 {
-		x := make([]float64, cfg.A.Rows)
+		x := make([]float64, run.cfg.A.Rows)
 		for s, xp := range xParts {
 			copy(x[run.part.Lo(s):run.part.Hi(s)], xp)
 		}
@@ -488,12 +525,12 @@ func (run *nodeRun) main(result *Result) {
 }
 
 // stateBytes returns this node's steady-state dynamic solver footprint in
-// bytes: the local vector blocks, the owned+ghost SpMV buffer, and the
-// strategy's redundant storage. Static shared data (matrix, plan,
-// preconditioner) stands in for node-local files reloaded from safe storage
-// and is excluded, as in the paper's measurement.
+// bytes: the local vector blocks (the variant's too), the owned+ghost SpMV
+// buffer, and the strategy's redundant storage. Static shared data (matrix,
+// plan, preconditioner) stands in for node-local files reloaded from safe
+// storage and is excluded, as in the paper's measurement.
 func (run *nodeRun) stateBytes() int64 {
-	b := 8 * int64(len(run.x)+len(run.r)+len(run.z)+len(run.p)+len(run.q)+len(run.pg))
+	b := 8*int64(len(run.x)+len(run.r)+len(run.z)+len(run.p)+len(run.q)+len(run.pg)) + run.extraBytes
 	if run.res != nil {
 		b += run.res.stateBytes()
 	}

@@ -2,10 +2,14 @@ package core
 
 import (
 	"bytes"
+	"flag"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
+	"esrp/internal/matgen"
 	"esrp/internal/obs"
 )
 
@@ -255,5 +259,70 @@ func TestTraceSurvivesShrink(t *testing.T) {
 	survivorLast := res.Trace.Ranks[0][len(res.Trace.Ranks[0])-1].End
 	if survivorLast <= failedLast {
 		t.Errorf("survivor timeline ends at %v, not past the failed rank's %v", survivorLast, failedLast)
+	}
+}
+
+// -update-trace regenerates the reference trace files in testdata. Run it
+// only when a change is meant to alter what a solve records.
+var updateTrace = flag.Bool("update-trace", false, "regenerate the reference solve traces")
+
+// TestTraceReferenceBytes pins the Chrome trace and series JSON of one
+// standard and one pipelined IMCR failure solve, detection charge included,
+// byte for byte: recovery envelopes, phases, detection spans and checkpoint
+// spans must come out of any restructuring of the solvers unchanged.
+func TestTraceReferenceBytes(t *testing.T) {
+	cases := []struct {
+		name  string
+		solve func(Config) (*Result, error)
+	}{
+		{"imcr", Solve},
+		{"pipelined_imcr", SolvePipelined},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a := matgen.Poisson2D(8, 8)
+			b, _ := matgen.RHSForSolution(a, 12)
+			cfg := Config{
+				A: a, B: b, Nodes: 3, Rtol: 1e-8, CostModel: fastModel(),
+				Strategy: StrategyIMCR, T: 4, Phi: 1, DetectionTime: 2e-5,
+				Failure: &FailureSpec{Iteration: 9, Ranks: []int{1}},
+				Observe: &obs.Options{Trace: true, Series: true},
+			}
+			res, err := tc.solve(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Events) != 1 || res.Events[0].Mode != RecoverySpare {
+				t.Fatalf("scenario must roll back from a checkpoint, events %+v", res.Events)
+			}
+			// The header's toolchain stamp varies across Go patch releases.
+			res.Trace.Build = obs.BuildInfo{GoVersion: "go1.0"}
+			for _, out := range []struct {
+				suffix string
+				write  func(*bytes.Buffer) error
+			}{
+				{"trace.json", func(w *bytes.Buffer) error { return res.Trace.WriteChrome(w) }},
+				{"series.json", func(w *bytes.Buffer) error { return res.Trace.WriteSeriesJSON(w) }},
+			} {
+				var buf bytes.Buffer
+				if err := out.write(&buf); err != nil {
+					t.Fatal(err)
+				}
+				path := filepath.Join("testdata", tc.name+"_"+out.suffix)
+				if *updateTrace {
+					if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				want, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatalf("missing reference (run with -update-trace to create): %v", err)
+				}
+				if !bytes.Equal(buf.Bytes(), want) {
+					t.Errorf("%s: emitted bytes differ from the reference", path)
+				}
+			}
+		})
 	}
 }

@@ -308,6 +308,11 @@ func blade(r, g, nodes int) []int {
 	return ranks
 }
 
+// maxEventRanks bounds every parsed rank: far above any simulated
+// cluster, and small enough that a mistyped range cannot exhaust memory
+// expanding it (nor wrap its loop counter at MaxInt).
+const maxEventRanks = 1 << 16
+
 // ParseSchedule reads the CLI form of a fixed schedule —
 // "iter:r0-r1;iter:r0;..." (e.g. "20:2-3;50:5" = ranks {2,3} fail at
 // iteration 20, rank 5 at iteration 50) — into an event list for
@@ -337,6 +342,10 @@ func ParseSchedule(s string) ([]core.FailureSpec, error) {
 			if err1 != nil || err2 != nil || hi < lo {
 				return nil, fmt.Errorf("faultsim: event %q: bad rank range", part)
 			}
+			// lo >= 0: the first '-' is the separator, so lohi[0] holds no minus.
+			if hi >= maxEventRanks {
+				return nil, fmt.Errorf("faultsim: event %q: rank %d not below %d", part, hi, maxEventRanks)
+			}
 			for r := lo; r <= hi; r++ {
 				ranks = append(ranks, r)
 			}
@@ -344,6 +353,9 @@ func ParseSchedule(s string) ([]core.FailureSpec, error) {
 			r, err := strconv.Atoi(strings.TrimSpace(iterRanks[1]))
 			if err != nil {
 				return nil, fmt.Errorf("faultsim: event %q: bad rank: %w", part, err)
+			}
+			if r >= maxEventRanks {
+				return nil, fmt.Errorf("faultsim: event %q: rank %d not below %d", part, r, maxEventRanks)
 			}
 			ranks = []int{r}
 		}

@@ -1,7 +1,9 @@
 package faultsim
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"esrp/internal/core"
@@ -201,4 +203,36 @@ func TestDescribe(t *testing.T) {
 	if got := Describe(ev); got == "" {
 		t.Error("empty description")
 	}
+}
+
+// FuzzParseSchedule: any input either errors or yields a non-empty timeline
+// of contiguous ascending rank blocks that survives a format/parse round
+// trip unchanged. The seed corpus lives in testdata/fuzz/FuzzParseSchedule.
+func FuzzParseSchedule(f *testing.F) {
+	f.Fuzz(func(t *testing.T, in string) {
+		events, err := ParseSchedule(in)
+		if err != nil {
+			return
+		}
+		if len(events) == 0 {
+			t.Fatalf("%q: no error and no events", in)
+		}
+		parts := make([]string, len(events))
+		for i, ev := range events {
+			n := len(ev.Ranks)
+			if n == 0 || ev.Ranks[0] < 0 || ev.Ranks[n-1] >= maxEventRanks {
+				t.Fatalf("%q: event %d ranks %v outside [0, %d)", in, i, ev.Ranks, maxEventRanks)
+			}
+			for k := 1; k < n; k++ {
+				if ev.Ranks[k] != ev.Ranks[k-1]+1 {
+					t.Fatalf("%q: event %d ranks %v not a contiguous ascending block", in, i, ev.Ranks)
+				}
+			}
+			parts[i] = fmt.Sprintf("%d:%d-%d", ev.Iteration, ev.Ranks[0], ev.Ranks[n-1])
+		}
+		again, err := ParseSchedule(strings.Join(parts, ";"))
+		if err != nil || !reflect.DeepEqual(again, events) {
+			t.Fatalf("%q: round trip through %q gave %v, %v", in, strings.Join(parts, ";"), again, err)
+		}
+	})
 }
